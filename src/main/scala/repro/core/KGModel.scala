@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import scala.util.Random
+
 /** One entity cluster: all triples sharing a subject id.
   *
   * @param id   subject id
@@ -16,25 +18,42 @@ final case class Cluster(id: Long, size: Int, tau: Int) {
   def accuracy: Double = tau.toDouble / size
 }
 
+/** A cluster population drawn with probability ∝ cluster size: what the
+  * TWCS first stage needs of a KG, static or growing.
+  */
+trait SizeWeighted {
+  /** One cluster, with replacement, P(c) = M_c / M. */
+  def drawBySize(rng: Random): Cluster
+}
+
 /** Driver-side view of a KG for sampling designs: everything a sampler needs
   * is the list of clusters with (size, #correct). Individual triple draws
   * within a cluster are exact hypergeometric draws, so no per-triple state
   * is required (see DESIGN.md §3.4).
   */
-final case class KGSummary(clusters: Array[Cluster]) {
+final case class KGSummary(clusters: Array[Cluster]) extends SizeWeighted {
   require(clusters.nonEmpty, "empty KG")
 
   /** N — number of entity clusters. */
   val numClusters: Int = clusters.length
+  private val (triples, correct) = {
+    var m = 0L
+    var t = 0L
+    var i = 0
+    while (i < clusters.length) { m += clusters(i).size; t += clusters(i).tau; i += 1 }
+    (m, t)
+  }
   /** M — total number of triples. */
-  val numTriples: Long = clusters.map(_.size.toLong).sum
+  val numTriples: Long = triples
   /** True KG accuracy μ(G) = Σ τ_i / M. */
-  val accuracy: Double = clusters.map(_.tau.toLong).sum.toDouble / numTriples
+  val accuracy: Double = correct.toDouble / numTriples
   /** Mean cluster size M/N. */
   def meanClusterSize: Double = numTriples.toDouble / numClusters
 
   /** Weighted index over cluster sizes for draws ∝ M_i. */
   lazy val sizeWeights: CumulativeWeights = new CumulativeWeights(clusters.map(_.size.toLong))
+
+  def drawBySize(rng: Random): Cluster = clusters(sizeWeights.draw(rng))
 }
 
 object KGSummary {

@@ -65,17 +65,16 @@ object LocalSamplers {
 
   /** One WCS draw: cluster ∝ size (with replacement), fully annotated. */
   def wcsDraw(kg: KGSummary, rng: Random): ClusterDraw = {
-    val c = kg.clusters(kg.sizeWeights.draw(rng))
+    val c = kg.drawBySize(rng)
     ClusterDraw(c, c.size, c.tau)
   }
 
   /** One TWCS draw: cluster ∝ size, then SRS of min(M_i, m) triples within.
     * The within-cluster hit count is an exact Hypergeometric(M_i, τ_i, s) draw.
     */
-  def twcsDraw(kg: KGSummary, m: Int, rng: Random): ClusterDraw = {
+  def twcsDraw(kg: SizeWeighted, m: Int, rng: Random): ClusterDraw = {
     require(m >= 1)
-    val c = kg.clusters(kg.sizeWeights.draw(rng))
-    secondStage(c, m, rng)
+    secondStage(kg.drawBySize(rng), m, rng)
   }
 
   /** Second-stage SRS of min(M_i, m) triples within a given cluster. */

@@ -114,7 +114,7 @@ object StaticEval {
     })
 
   /** TWCS (§5.2.3): size-weighted draws + second-stage SRS of <= m triples. */
-  def twcs(kg: KGSummary, m: Int, cfg: EvalConfig, rng: Random): EvalResult =
+  def twcs(kg: SizeWeighted, m: Int, cfg: EvalConfig, rng: Random): EvalResult =
     clusterLoop(cfg, new CostTracker(cfg.cost), () => {
       val d = LocalSamplers.twcsDraw(kg, m, rng)
       (d, d.sampleMean)

@@ -77,29 +77,40 @@ object Stats {
 
 /** O(log N) weighted index: draws an index with probability weight(i)/sum(weights).
   * Used for with-replacement cluster draws proportional to cluster size.
+  *
+  * Append-only: `append` extends the prefix sums in amortised O(1), so an
+  * index over a growing KG never needs a rebuild. Sums are exact integers, so
+  * an index grown by appends draws exactly what a fresh one over the same
+  * weights draws.
   */
 final class CumulativeWeights(weights: Array[Long]) {
   require(weights.nonEmpty, "no weights")
-  private val cum: Array[Long] = {
-    val out = new Array[Long](weights.length)
-    var acc = 0L
+  private var cum = new Array[Long](weights.length)
+  private var n   = 0
+  private var sum = 0L
+  locally {
     var i = 0
-    while (i < weights.length) {
-      require(weights(i) > 0, s"non-positive weight at $i")
-      acc += weights(i); out(i) = acc; i += 1
-    }
-    out
+    while (i < weights.length) { append(weights(i)); i += 1 }
   }
 
   /** Total weight. */
-  val total: Long = cum.last
+  def total: Long = sum
+
+  /** Adds weight `w` after the last one. */
+  def append(w: Long): Unit = {
+    if (w <= 0) throw new IllegalArgumentException(s"non-positive weight at $n")
+    if (n == cum.length) cum = java.util.Arrays.copyOf(cum, math.max(16, 2 * n))
+    sum += w
+    cum(n) = sum
+    n += 1
+  }
 
   /** Index i with P(i) = weights(i)/total. */
   def draw(rng: Random): Int = {
-    val dart = (rng.nextDouble() * total).toLong
+    val dart = (rng.nextDouble() * sum).toLong
     // first index whose cumulative weight exceeds the dart
     var lo = 0
-    var hi = cum.length - 1
+    var hi = n - 1
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (cum(mid) <= dart) lo = mid + 1 else hi = mid

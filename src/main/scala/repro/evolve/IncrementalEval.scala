@@ -60,13 +60,13 @@ object IncrementalEval {
 
   /** Re-evaluates each snapshot from scratch; pays full cost every time. */
   final class BaselineEvaluator(m: Int, cfg: EvalConfig, rng: Random) {
-    private val all = ArrayBuffer.empty[Cluster]
+    private var pool: ClusterStore = _
 
-    def initialize(base: KGSummary): Unit = { all ++= base.clusters }
+    def initialize(base: KGSummary): Unit = { pool = new ClusterStore(base) }
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
-      all ++= batch
-      val r = StaticEval.twcs(KGSummary(all.toArray), m, cfg, rng)
+      pool.append(batch)
+      val r = StaticEval.twcs(pool, m, cfg, rng)
       SnapshotResult(r.estimate, r.moe, r.entities, r.triples, r.costSeconds, r.converged)
     }
   }
@@ -91,25 +91,14 @@ object IncrementalEval {
                                  initBias: Double = 0.0) {
     /** Payload per reservoir entry: (recorded sample mean, #triples annotated). */
     private val reservoir = new WeightedReservoir[(Double, Int)](capacity)
-    private val all = ArrayBuffer.empty[Cluster]
-    private var weightsDirty = true
-    private var weights: CumulativeWeights = _
-
-    private def pool(): CumulativeWeights = {
-      if (weightsDirty) {
-        weights = new CumulativeWeights(all.map(_.size.toLong).toArray)
-        weightsDirty = false
-      }
-      weights
-    }
+    private var pool: ClusterStore = _
 
     /** Build the initial reservoir over the base KG (annotations charged to
       * the static evaluation that precedes the evolving phase, not to any
       * update round).
       */
     def initialize(base: KGSummary): Unit = {
-      all ++= base.clusters
-      weightsDirty = true
+      pool = new ClusterStore(base)
       base.clusters.foreach { c =>
         reservoir.offer(c, rng) {
           val d = LocalSamplers.secondStage(c, m, rng)
@@ -121,8 +110,7 @@ object IncrementalEval {
     def totalInsertions: Long = reservoir.totalInsertions
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
-      all ++= batch
-      weightsDirty = true
+      pool.append(batch)
       var newEntities = 0
       var newTriples  = 0L
       batch.foreach { c =>
@@ -133,16 +121,16 @@ object IncrementalEval {
           (d.sampleMean, d.annotated)
         }
       }
+      def cost: Double = newCost(cfg, newEntities, newTriples)
       val z = cfg.z
       var values = reservoir.entries.map(_.payload._1).toVector
       var est = Estimators.meanOfDraws(values, z)
-      // Top up from the current KG if the reservoir alone misses the MoE bar.
-      val cw = pool()
-      while (est.moe > cfg.eps) {
+      // Top up from the current KG if the reservoir alone misses the MoE bar,
+      // within the annotation budget.
+      while (est.moe > cfg.eps && cost < cfg.maxCostSeconds) {
         var i = 0
         while (i < cfg.clusterBatch) {
-          val c = all(cw.draw(rng))
-          val d = LocalSamplers.secondStage(c, m, rng)
+          val d = LocalSamplers.twcsDraw(pool, m, rng)
           newEntities += 1
           newTriples  += d.annotated
           values = values :+ d.sampleMean
@@ -150,8 +138,7 @@ object IncrementalEval {
         }
         est = Estimators.meanOfDraws(values, z)
       }
-      SnapshotResult(est.value, est.moe, newEntities, newTriples,
-        newCost(cfg, newEntities, newTriples), est.moe <= cfg.eps)
+      SnapshotResult(est.value, est.moe, newEntities, newTriples, cost, est.moe <= cfg.eps)
     }
   }
 

@@ -145,4 +145,52 @@ class StatsSpec extends AnyFunSuite with PropHelper {
     assert(math.abs(counts(1).toDouble / n - 0.09) < 0.01)
     assert(math.abs(counts(2).toDouble / n - 0.90) < 0.01)
   }
+
+  // ---- appendable cumulative weights ----
+
+  /** Weights split into an initial array and a sequence of appends. */
+  private val appendsGen = for {
+    ws    <- Gen.nonEmptyListOf(Gen.choose(1L, 1000L))
+    first <- Gen.choose(1, ws.size)
+    seed  <- Gen.choose(0L, 1000000L)
+  } yield (ws, first, seed)
+
+  test("property: an appended index draws exactly what a fresh one draws") {
+    checkProp(Prop.forAll(appendsGen) { case (ws, first, seed) =>
+      val grown = new CumulativeWeights(ws.take(first).toArray)
+      ws.drop(first).foreach(grown.append)
+      val fresh = new CumulativeWeights(ws.toArray)
+      val (r1, r2) = (new Random(seed), new Random(seed))
+      (1 to 50).forall(_ => grown.draw(r1) == fresh.draw(r2))
+    })
+  }
+
+  test("property: total tracks the sum of the weights appended so far") {
+    checkProp(Prop.forAll(appendsGen) { case (ws, first, _) =>
+      val cw = new CumulativeWeights(ws.take(first).toArray)
+      cw.total == ws.take(first).sum &&
+        (first until ws.size).forall { i => cw.append(ws(i)); cw.total == ws.take(i + 1).sum }
+    })
+  }
+
+  test("CumulativeWeights draws stay inside the filled prefix") {
+    // 1 + 5 appends leave spare capacity behind the last filled weight
+    val cw = new CumulativeWeights(Array(1L))
+    Seq(2L, 3L, 4L, 5L, 1000L).foreach(cw.append)
+    val rng = new Random(6)
+    val draws = (1 to 20000).map(_ => cw.draw(rng))
+    assert(draws.forall(i => i >= 0 && i < 6))
+    assert(draws.count(_ == 5) > 19000)
+  }
+
+  test("CumulativeWeights rejects appending a non-positive weight") {
+    val cw = new CumulativeWeights(Array(3L))
+    Seq(0L, -2L).foreach { w =>
+      val e = intercept[IllegalArgumentException](cw.append(w))
+      assert(e.getMessage.contains("at 1"))
+    }
+    // nothing was appended: the single weight still takes every draw
+    val rng = new Random(7)
+    assert(cw.total == 3L && (1 to 100).forall(_ => cw.draw(rng) == 0))
+  }
 }

@@ -89,6 +89,62 @@ class IncrementalSpec extends AnyFunSuite {
     assert(inserted < 60, s"inserted $inserted")
   }
 
+  test("RS top-ups stop at the annotation budget, unconverged") {
+    // ε = 1% needs thousands of draws; a 30-entry reservoir alone misses it
+    val tight  = EvalConfig(eps = 0.01, maxCostSeconds = 7200.0)
+    val base   = makeBase(19)
+    val rng    = new Random(20)
+    val ev     = new ReservoirEvaluator(30, m, tight, rng)
+    ev.initialize(base)
+    val r = ev.applyUpdate(makeBatch(base, 0.1, 0.9, rng, 0))
+    val perDraw = tight.cost.c1 + m * tight.cost.c2
+    assert(!r.converged && r.moe > tight.eps)
+    assert(r.costSeconds >= tight.maxCostSeconds)
+    assert(r.costSeconds <= tight.maxCostSeconds + tight.clusterBatch * perDraw,
+      s"cost ${r.costSeconds}")
+  }
+
+  // ---- exact snapshots over a seeded stream ----
+
+  /** The spec's small base and ten 10% batches at 90% accuracy. */
+  private def seededStream(): (KGSummary, IndexedSeq[Array[Cluster]]) = {
+    val base = makeBase(30)
+    val gen  = new Random(31)
+    (base, (0 until 10).map(b => makeBatch(base, 0.1, 0.9, gen, b)))
+  }
+
+  test("Baseline snapshots equal static TWCS on each merged KG") {
+    val (base, batches) = seededStream()
+    val ev = new BaselineEvaluator(m, cfg, new Random(33))
+    ev.initialize(base)
+    val got = batches.map(ev.applyUpdate)
+    val ref = new Random(33)
+    val want = batches.indices.map { i =>
+      val r = StaticEval.twcs(KGSummary(base.clusters ++ batches.take(i + 1).flatten), m, cfg, ref)
+      SnapshotResult(r.estimate, r.moe, r.entities, r.triples, r.costSeconds, r.converged)
+    }
+    assert(got == want)
+  }
+
+  test("RS snapshots over a seeded stream are pinned") {
+    val (base, batches) = seededStream()
+    val ev = new ReservoirEvaluator(30, m, cfg, new Random(32))
+    ev.initialize(base)
+    // recorded from the rebuild-per-update implementation this one replaced
+    val pinned = Seq(
+      SnapshotResult(0.8322222222222223, 0.04994574022473298, 19, 93L, 3180.0, converged = true),
+      SnapshotResult(0.8724999999999999, 0.04961711386787674, 11, 55L, 1870.0, converged = true),
+      SnapshotResult(0.8533333333333332, 0.04849163261252926, 17, 82L, 2815.0, converged = true),
+      SnapshotResult(0.8703703703703701, 0.045879429712566075, 19, 80L, 2855.0, converged = true),
+      SnapshotResult(0.88, 0.04849163261252925, 16, 74L, 2570.0, converged = true),
+      SnapshotResult(0.8975000000000002, 0.04836046224167907, 10, 50L, 1700.0, converged = true),
+      SnapshotResult(0.8777777777777778, 0.04698337599556064, 16, 78L, 2670.0, converged = true),
+      SnapshotResult(0.8675, 0.04931843778237599, 11, 51L, 1770.0, converged = true),
+      SnapshotResult(0.8875000000000002, 0.04820746276861072, 11, 53L, 1820.0, converged = true),
+      SnapshotResult(0.8825, 0.048053976161657144, 14, 65L, 2255.0, converged = true))
+    assert(batches.map(ev.applyUpdate) == pinned)
+  }
+
   // ---- SS ----
 
   test("SS estimate stays near the truth after an update") {
