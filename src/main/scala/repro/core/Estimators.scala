@@ -56,7 +56,7 @@ object Estimators {
   }
 
   /** Var̂ of a mean-of-draws estimator, for feeding [[stratified]]. */
-  def varOfMean(values: Seq[Double]): Double = {
+  def varOfMean(values: collection.Seq[Double]): Double = {
     val n = values.size
     if (n < 2) Double.PositiveInfinity else Stats.sampleVariance(values) / n
   }

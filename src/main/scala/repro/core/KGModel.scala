@@ -22,6 +22,8 @@ final case class Cluster(id: Long, size: Int, tau: Int) {
   * TWCS first stage needs of a KG, static or growing.
   */
 trait SizeWeighted {
+  /** M — total number of triples (the total weight). */
+  def numTriples: Long
   /** One cluster, with replacement, P(c) = M_c / M. */
   def drawBySize(rng: Random): Cluster
 }
@@ -76,7 +78,4 @@ object KGSummary {
       r.getAs[Long]("size").toInt,
       r.getAs[Long]("tau").toInt)))
   }
-
-  /** Build directly from driver-side clusters (evolving-KG update batches). */
-  def local(clusters: Seq[Cluster]): KGSummary = KGSummary(clusters.toArray)
 }

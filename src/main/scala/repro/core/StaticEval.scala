@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Configuration of the iterative evaluation framework (Fig 2).
@@ -73,114 +72,53 @@ object StaticEval {
       tracker.seconds, est.moe <= cfg.eps)
   }
 
-  private def clusterLoop(cfg: EvalConfig, tracker: CostTracker,
-                          drawOne: () => (LocalSamplers.ClusterDraw, Double)): EvalResult = {
-    val z      = cfg.z
-    val values = ArrayBuffer.empty[Double]
-    var est    = Estimate(0.0, Double.PositiveInfinity)
-    var stop   = false
-    while (!stop) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val (d, v) = drawOne()
-        tracker.record(d.cluster.id, d.cluster.size, d.annotated)
-        values += v
-        i += 1
-      }
-      est = Estimators.meanOfDraws(values.toSeq, z)
-      stop = (values.size >= cfg.minClusterDraws &&
-              tracker.triples >= cfg.minTriples &&
-              est.moe <= cfg.eps) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-    EvalResult(est.value, est.moe, values.size, tracker.entities, tracker.triples,
-      tracker.seconds, est.moe <= cfg.eps)
-  }
+  /** Static evaluation of one cluster design: its single stratum runs the
+    * Fig 2 loop from `clusterBatch` draws, under the config's minimum-sample
+    * rules and budget. The stratum keeps its values.
+    */
+  def run(s: EvalLoop.Stratum, cfg: EvalConfig): EvalResult =
+    EvalLoop.run(Nil, Seq(s), cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
+      cfg, new CostTracker(cfg.cost))
 
   /** RCS (§5.2.1): uniform cluster draws, v_k = (N/M)·τ_{I_k}. */
   def rcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
     val scale = kg.numClusters.toDouble / kg.numTriples
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
+    run(new EvalLoop.Stratum(kg.numTriples, () => {
       val d = LocalSamplers.rcsDraw(kg, rng)
       (d, scale * d.hits)
-    })
+    }), cfg)
   }
 
   /** WCS (§5.2.2): size-weighted draws, v_k = μ_{I_k} (Hansen–Hurwitz). */
   def wcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
+    run(new EvalLoop.Stratum(kg.numTriples, () => {
       val d = LocalSamplers.wcsDraw(kg, rng)
       (d, d.cluster.accuracy)
-    })
+    }), cfg)
 
   /** TWCS (§5.2.3): size-weighted draws + second-stage SRS of <= m triples. */
   def twcs(kg: SizeWeighted, m: Int, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
+    run(twcsStratum(kg, m, rng), cfg)
+
+  /** A TWCS stratum over `kg`: v_k = μ̂_{I_k}, the within-draw sample mean. */
+  def twcsStratum(kg: SizeWeighted, m: Int, rng: Random): EvalLoop.Stratum =
+    new EvalLoop.Stratum(kg.numTriples, () => {
       val d = LocalSamplers.twcsDraw(kg, m, rng)
       (d, d.sampleMean)
     })
 
   /** TWCS with stratification (§5.3): per-stratum TWCS estimators combined by
-    * Eq (13); each iteration allocates `clusterBatch` draws greedily to the
-    * stratum with the largest marginal variance reduction
-    * W_h²·s_h²·(1/n_h - 1/(n_h+1)).
+    * Eq (13), each further draw going to the stratum with the largest marginal
+    * variance reduction. Every stratum first gets enough draws for a usable
+    * variance estimate — stopping off 2 agreeing draws would bias the
+    * estimator.
     */
   def twcsStratified(strata: Seq[Stratification.StratumPop], m: Int,
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
-    val z       = cfg.z
-    val ws      = Stratification.weights(strata)
-    val tracker = new CostTracker(cfg.cost)
-    val values  = strata.map(_ => ArrayBuffer.empty[Double])
-    // variance floor keeps exploring strata whose few draws happened to agree
-    val varFloor = 1e-4
-
-    def drawIn(h: Int): Unit = {
-      val d = LocalSamplers.twcsDraw(strata(h).kg, m, rng)
-      tracker.record(d.cluster.id, d.cluster.size, d.annotated)
-      values(h) += d.sampleMean
-    }
-
-    // Initial allocation: enough draws per stratum for a usable variance
-    // estimate — stopping off 2 agreeing draws would bias the estimator —
-    // and a total triple floor (CLT) before the MoE rule may fire.
-    val minPerStratum = math.max(3, math.ceil(20.0 / strata.size).toInt)
-    strata.indices.foreach { h =>
-      (0 until minPerStratum).foreach(_ => drawIn(h))
-    }
-
-    def combined(): Estimate = {
-      val ss = strata.indices.map { h =>
-        Estimators.Stratum(ws(h), Stats.mean(values(h).toSeq),
-          Estimators.varOfMean(values(h).toSeq))
-      }
-      Estimators.stratified(ss, z)
-    }
-
-    def totalDraws: Int = values.map(_.size).sum
-    def mayStop: Boolean =
-      totalDraws >= cfg.minClusterDraws && tracker.triples >= cfg.minTriples
-
-    var est  = combined()
-    var stop = (mayStop && est.moe <= cfg.eps) ||
-               tracker.seconds >= cfg.maxCostSeconds
-    while (!stop) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val h = strata.indices.maxBy { h =>
-          val nH = values(h).size.toDouble
-          val s2 = math.max(Stats.sampleVariance(values(h).toSeq), varFloor)
-          ws(h) * ws(h) * s2 * (1.0 / nH - 1.0 / (nH + 1.0))
-        }
-        drawIn(h)
-        i += 1
-      }
-      est = combined()
-      stop = (mayStop && est.moe <= cfg.eps) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-    EvalResult(est.value, est.moe, totalDraws, tracker.entities,
-      tracker.triples, tracker.seconds, est.moe <= cfg.eps)
+    val perStratum = math.max(3, math.ceil(20.0 / strata.size).toInt)
+    EvalLoop.run(Nil, strata.map(s => twcsStratum(s.kg, m, rng)), perStratum,
+      cfg.minClusterDraws, cfg.minTriples, cfg, new CostTracker(cfg.cost))
   }
 
   // ------------------------------------------------------------------

@@ -40,13 +40,13 @@ object Stats {
   def zAlpha(alpha: Double): Double = normalQuantile(1.0 - alpha / 2.0)
 
   /** Sample mean. */
-  def mean(xs: Seq[Double]): Double = {
+  def mean(xs: collection.Seq[Double]): Double = {
     require(xs.nonEmpty, "mean of empty sequence")
     xs.sum / xs.size
   }
 
   /** Unbiased sample variance (n-1 denominator); 0 for n < 2. */
-  def sampleVariance(xs: Seq[Double]): Double = {
+  def sampleVariance(xs: collection.Seq[Double]): Double = {
     val n = xs.size
     if (n < 2) 0.0
     else {

@@ -21,5 +21,7 @@ final class ClusterStore(base: KGSummary) extends SizeWeighted {
     batch.foreach(c => weights.append(c.size))
   }
 
+  def numTriples: Long = weights.total
+
   def drawBySize(rng: Random): Cluster = clusters(weights.draw(rng))
 }

@@ -26,33 +26,8 @@ final case class SnapshotResult(estimate: Double,
   */
 object IncrementalEval {
 
-  private def newCost(cfg: EvalConfig, entities: Int, triples: Long): Double =
-    cfg.cost.seconds(entities.toLong, triples)
-
-  /** Draw TWCS batches from `kg`, appending within-draw sample means to
-    * `values` and charging `tracker`, until `stop()` or the cost cap.
-    */
-  /** @param minTriples CLT floor on annotated triples before `stop` may fire;
-    *                    pass 0 for incremental Δ strata — Algorithm 2's stop
-    *                    rule is on the *combined* MoE, and the base stratum
-    *                    already carries a CLT-sized sample.
-    */
-  private def twcsBatches(kg: KGSummary, m: Int, cfg: EvalConfig, rng: Random,
-                          values: ArrayBuffer[Double], tracker: CostTracker,
-                          minDraws: Int, minTriples: Long, stop: () => Boolean): Unit = {
-    var done = false
-    while (!done) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val d = LocalSamplers.twcsDraw(kg, m, rng)
-        tracker.record(d.cluster.id, d.cluster.size, d.annotated)
-        values += d.sampleMean
-        i += 1
-      }
-      done = (values.size >= minDraws && tracker.triples >= minTriples && stop()) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-  }
+  private def snapshot(r: EvalResult): SnapshotResult =
+    SnapshotResult(r.estimate, r.moe, r.entities, r.triples, r.costSeconds, r.converged)
 
   // ==================================================================
   // Baseline: independent static TWCS on every snapshot
@@ -66,8 +41,7 @@ object IncrementalEval {
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       pool.append(batch)
-      val r = StaticEval.twcs(pool, m, cfg, rng)
-      SnapshotResult(r.estimate, r.moe, r.entities, r.triples, r.costSeconds, r.converged)
+      snapshot(StaticEval.twcs(pool, m, cfg, rng))
     }
   }
 
@@ -77,7 +51,7 @@ object IncrementalEval {
 
   /** Maintains a weighted reservoir of annotated cluster draws. Per update
     * batch: offer every new cluster (annotating those that enter), then — if
-    * the MoE over the reservoir exceeds ε — top up with fresh WCS draws from
+    * the MoE over the reservoir exceeds ε — top up with fresh TWCS draws from
     * the current KG (the paper's "run Static Evaluation on G+Δ" step).
     *
     * @param capacity reservoir size |R| (first-stage sample size from the
@@ -89,8 +63,8 @@ object IncrementalEval {
     */
   final class ReservoirEvaluator(capacity: Int, m: Int, cfg: EvalConfig, rng: Random,
                                  initBias: Double = 0.0) {
-    /** Payload per reservoir entry: (recorded sample mean, #triples annotated). */
-    private val reservoir = new WeightedReservoir[(Double, Int)](capacity)
+    /** Payload per reservoir entry: its recorded sample mean. */
+    private val reservoir = new WeightedReservoir[Double](capacity)
     private var pool: ClusterStore = _
 
     /** Build the initial reservoir over the base KG (annotations charged to
@@ -101,53 +75,37 @@ object IncrementalEval {
       pool = new ClusterStore(base)
       base.clusters.foreach { c =>
         reservoir.offer(c, rng) {
-          val d = LocalSamplers.secondStage(c, m, rng)
-          (math.max(0.0, math.min(1.0, d.sampleMean + initBias)), d.annotated)
+          math.max(0.0, math.min(1.0, LocalSamplers.secondStage(c, m, rng).sampleMean + initBias))
         }
       }
     }
 
     def totalInsertions: Long = reservoir.totalInsertions
 
+    /** Insertions and top-up draws are charged to one tracker, so a cluster
+      * drawn twice in a round costs its entity once (Eq 4).
+      */
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       pool.append(batch)
-      var newEntities = 0
-      var newTriples  = 0L
+      val tracker = new CostTracker(cfg.cost)
       batch.foreach { c =>
         reservoir.offer(c, rng) {
           val d = LocalSamplers.secondStage(c, m, rng)
-          newEntities += 1
-          newTriples  += d.annotated
-          (d.sampleMean, d.annotated)
+          tracker.record(c.id, c.size, d.annotated)
+          d.sampleMean
         }
       }
-      def cost: Double = newCost(cfg, newEntities, newTriples)
-      val z = cfg.z
-      var values = reservoir.entries.map(_.payload._1).toVector
-      var est = Estimators.meanOfDraws(values, z)
       // Top up from the current KG if the reservoir alone misses the MoE bar,
       // within the annotation budget.
-      while (est.moe > cfg.eps && cost < cfg.maxCostSeconds) {
-        var i = 0
-        while (i < cfg.clusterBatch) {
-          val d = LocalSamplers.twcsDraw(pool, m, rng)
-          newEntities += 1
-          newTriples  += d.annotated
-          values = values :+ d.sampleMean
-          i += 1
-        }
-        est = Estimators.meanOfDraws(values, z)
-      }
-      SnapshotResult(est.value, est.moe, newEntities, newTriples, cost, est.moe <= cfg.eps)
+      val topUp = StaticEval.twcsStratum(pool, m, rng)
+      topUp.values ++= reservoir.entries.map(_.payload)
+      snapshot(EvalLoop.run(Nil, Seq(topUp), 0, 0, 0L, cfg, tracker))
     }
   }
 
   // ==================================================================
   // SS: Stratified Incremental Evaluation (§6.2, Algorithm 2)
   // ==================================================================
-
-  /** One stratum's reusable evaluation state. */
-  private final case class StratumState(triples: Long, values: ArrayBuffer[Double])
 
   /** Each update batch Δ^i becomes a new stratum; earlier strata estimates
     * (G, Δ^1, …, Δ^{i-1}) are reused verbatim and only the newest stratum is
@@ -158,40 +116,27 @@ object IncrementalEval {
     */
   final class StratifiedEvaluator(m: Int, cfg: EvalConfig, rng: Random,
                                   initBias: Double = 0.0) {
-    private val strata = ArrayBuffer.empty[StratumState]
+    private val strata = ArrayBuffer.empty[EvalLoop.Stratum]
 
     /** Run the initial static evaluation on the base KG, keeping its draws. */
     def initialize(base: KGSummary): Unit = {
-      val values  = ArrayBuffer.empty[Double]
-      val tracker = new CostTracker(cfg.cost)
-      twcsBatches(base, m, cfg, rng, values, tracker, cfg.minClusterDraws, cfg.minTriples,
-        () => Estimators.meanOfDraws(values.toSeq, cfg.z).moe <= cfg.eps)
-      val biased = values.map(v => math.max(0.0, math.min(1.0, v + initBias)))
-      strata += StratumState(base.numTriples, biased)
-    }
-
-    private def combined(): Estimate = {
-      val total = strata.map(_.triples).sum.toDouble
-      val parts = strata.map { s =>
-        Estimators.Stratum(s.triples / total, Stats.mean(s.values.toSeq),
-          Estimators.varOfMean(s.values.toSeq))
-      }
-      Estimators.stratified(parts.toSeq, cfg.z)
+      val s = StaticEval.twcsStratum(base, m, rng)
+      StaticEval.run(s, cfg)
+      s.values.mapInPlace(v => math.max(0.0, math.min(1.0, v + initBias)))
+      strata += s
     }
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
-      val delta   = KGSummary(batch)
-      val values  = ArrayBuffer.empty[Double]
-      val tracker = new CostTracker(cfg.cost)
-      strata += StratumState(delta.numTriples, values)
+      val s = StaticEval.twcsStratum(KGSummary(batch), m, rng)
       // A handful of draws so the new stratum has a usable sample variance
       // (2 agreeing draws would stop on a spurious zero), then batches until
-      // the *combined* MoE satisfies ε.
-      twcsBatches(delta, m, cfg, rng, values, tracker, 5, 0L,
-        () => combined().moe <= cfg.eps)
-      val est = combined()
-      SnapshotResult(est.value, est.moe, tracker.entities, tracker.triples,
-        tracker.seconds, est.moe <= cfg.eps)
+      // the *combined* MoE satisfies ε. No triple floor: Algorithm 2's stop
+      // rule is on the combined MoE, and the base stratum already carries a
+      // CLT-sized sample.
+      val r = EvalLoop.run(strata.toSeq, Seq(s), cfg.clusterBatch, 5, 0L, cfg,
+        new CostTracker(cfg.cost))
+      strata += s
+      snapshot(r)
     }
   }
 }

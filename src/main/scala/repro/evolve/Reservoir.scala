@@ -13,9 +13,9 @@ import scala.util.Random
   * exactly the first-stage TWCS sample the paper maintains on evolving KGs
   * (Algorithm 1).
   *
-  * `attach` carries arbitrary per-entry payload (here: the annotated
-  * second-stage draw), created only when a cluster actually enters — that is
-  * the annotation cost RS pays.
+  * `attach` carries arbitrary per-entry payload (here: the sample mean of
+  * the annotated second-stage draw), created only when a cluster actually
+  * enters — that is the annotation cost RS pays.
   */
 final class WeightedReservoir[A](capacity: Int) {
   require(capacity >= 1)

@@ -149,4 +149,34 @@ class StaticEvalSpec extends AnyFunSuite {
     val r = StaticEval.twcsStratified(strata, 5, cfg, new Random(14))
     assert(r.clusterDraws >= 2 * strata.size)
   }
+
+  // ---- exact results at fixed seeds ----
+
+  test("cluster designs give pinned results at fixed seeds") {
+    // recorded from the implementation with one loop copy per design
+    def at(run: Random => EvalResult): Seq[EvalResult] = Seq(1L, 2L, 3L).map(s => run(new Random(s)))
+    assert(at(StaticEval.rcs(kg, cfg, _)) == Seq(
+      EvalResult(0.8455259774274969, 0.04984173545520954, 415, 300, 3147L, 92175.0, converged = true),
+      EvalResult(0.8772444946358003, 0.04994350885189535, 420, 301, 3213L, 93870.0, converged = true),
+      EvalResult(0.838187899057465, 0.049853340880938714, 390, 291, 3030L, 88845.0, converged = true)))
+    assert(at(StaticEval.wcs(kg, cfg, _)) == Seq(
+      EvalResult(0.8096993472428844, 0.04777887631485628, 40, 39, 549L, 15480.0, converged = true),
+      EvalResult(0.8381035526030366, 0.04799538280323444, 45, 42, 576L, 16290.0, converged = true),
+      EvalResult(0.9099774882839898, 0.04696454937208592, 25, 25, 342L, 9675.0, converged = true)))
+    assert(at(StaticEval.twcs(kg, 5, cfg, _)) == Seq(
+      EvalResult(0.8262499999999999, 0.047967512115452166, 80, 74, 381L, 12855.0, converged = true),
+      EvalResult(0.8621212121212121, 0.04941676903257519, 55, 55, 266L, 9125.0, converged = true),
+      EvalResult(0.894, 0.046766126189529474, 25, 25, 124L, 4225.0, converged = true)))
+    val size   = Stratification.sizeStrata(correlated, 2)
+    val oracle = Stratification.oracleStrata(correlated, 3)
+    assert(size.size == 2 && oracle.size == 3)
+    assert(at(StaticEval.twcsStratified(size, 5, cfg, _)) == Seq(
+      EvalResult(0.6989694427801079, 0.04875264370346861, 35, 35, 148L, 5275.0, converged = true),
+      EvalResult(0.7532371299364176, 0.048029378964905216, 40, 39, 174L, 6105.0, converged = true),
+      EvalResult(0.7375436293950375, 0.04827689459931291, 40, 40, 163L, 5875.0, converged = true)))
+    assert(at(StaticEval.twcsStratified(oracle, 5, cfg, _)) == Seq(
+      EvalResult(0.7345480612856287, 0.04120490248576456, 26, 26, 109L, 3895.0, converged = true),
+      EvalResult(0.6983594955857317, 0.04539351965439217, 31, 31, 132L, 4695.0, converged = true),
+      EvalResult(0.704763806860871, 0.040065781544485236, 26, 25, 110L, 3875.0, converged = true)))
+  }
 }

@@ -145,6 +145,37 @@ class IncrementalSpec extends AnyFunSuite {
     assert(batches.map(ev.applyUpdate) == pinned)
   }
 
+  test("RS charges a cluster drawn twice in a round once (Eq 4)") {
+    // ten clusters spread from 0% to 90% accurate: the MoE needs ~150 top-ups
+    val base  = KGSummary(Array.tabulate(10)(i => Cluster(i.toLong, 20, 2 * i)))
+    val batch = Array.tabulate(3)(i => Cluster(100L + i, 20, 10 + i))
+    val ev = new ReservoirEvaluator(30, m, cfg, new Random(40))
+    ev.initialize(base)
+    val r = ev.applyUpdate(batch)
+    assert(r.converged)
+    assert(r.newEntities <= base.numClusters + batch.length, s"${r.newEntities} entities")
+    assert(r.costSeconds == cfg.cost.seconds(r.newEntities.toLong, r.newTriples))
+  }
+
+  test("SS snapshots over a seeded stream are pinned") {
+    val (base, batches) = seededStream()
+    val ev = new StratifiedEvaluator(m, cfg, new Random(34))
+    ev.initialize(base)
+    // recorded from the implementation with its own SS batch loop
+    val pinned = Seq(
+      SnapshotResult(0.9031939708226556, 0.04453117130831835, 5, 24L, 825.0, converged = true),
+      SnapshotResult(0.9012609879820029, 0.041596905989977694, 5, 25L, 850.0, converged = true),
+      SnapshotResult(0.9027039577295869, 0.039099247353511925, 4, 22L, 730.0, converged = true),
+      SnapshotResult(0.9010801707159527, 0.037995460518218005, 5, 22L, 775.0, converged = true),
+      SnapshotResult(0.9076772406345119, 0.035461502347841733, 5, 25L, 850.0, converged = true),
+      SnapshotResult(0.9109459843688236, 0.03360495630160739, 5, 22L, 775.0, converged = true),
+      SnapshotResult(0.9091027313280984, 0.03211665126762648, 5, 24L, 825.0, converged = true),
+      SnapshotResult(0.9074868490754314, 0.03079836098380547, 5, 25L, 850.0, converged = true),
+      SnapshotResult(0.9123517568584882, 0.029178794635041947, 5, 19L, 700.0, converged = true),
+      SnapshotResult(0.9127344795948629, 0.028132025770160725, 4, 25L, 805.0, converged = true))
+    assert(batches.map(ev.applyUpdate) == pinned)
+  }
+
   // ---- SS ----
 
   test("SS estimate stays near the truth after an update") {
