@@ -5,8 +5,9 @@ import scala.util.Random
 /** Driver-side exact samplers over a [[KGSummary]].
   *
   * Used by the Monte-Carlo harness (the paper repeats every design 1000×; a
-  * Spark job per trial would be pure overhead). Statistically identical to the
-  * DataFrame samplers in `repro.spark`: a design only interacts with the KG
+  * Spark job per trial would be pure overhead) and for the first-stage draws of
+  * the DataFrame samplers in `repro.spark`. Statistically identical to the
+  * DataFrame path's second stage: a design only interacts with the KG
   * through cluster sizes and draw outcomes, and drawing j triples without
   * replacement from a cluster with τ correct among M is exactly a
   * Hypergeometric(M, τ, j) draw.

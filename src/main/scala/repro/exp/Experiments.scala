@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.core.StaticEval.McStats
 import repro.evolve.IncrementalEval._
+import repro.evolve.SnapshotResult
 import repro.kg.{LabelModels, LocalKGGen}
 import repro.kgeval.KGEval
 
@@ -272,30 +273,25 @@ object Experiments {
     var totTriples = base.numTriples
     var totCorrect = base.clusters.map(_.tau.toLong).sum
 
-    method match {
+    val applyUpdate: Array[Cluster] => SnapshotResult = method match {
       case "SS" =>
         val ev = new StratifiedEvaluator(m, cfg, rng, initBias = bias)
         ev.initialize(base)
-        for (b <- 0 until batches) {
-          val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(0, b + 1))
-          totTriples += batch.map(_.size.toLong).sum
-          totCorrect += batch.map(_.tau.toLong).sum
-          estimates += ev.applyUpdate(batch).estimate
-          truths    += totCorrect.toDouble / totTriples
-        }
+        ev.applyUpdate
       case "RS" =>
         val init = StaticEval.twcs(base, m, cfg, rng)
         val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
           m, cfg, rng, initBias = bias)
         ev.initialize(base)
-        for (b <- 0 until batches) {
-          val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(0, b + 1))
-          totTriples += batch.map(_.size.toLong).sum
-          totCorrect += batch.map(_.tau.toLong).sum
-          estimates += ev.applyUpdate(batch).estimate
-          truths    += totCorrect.toDouble / totTriples
-        }
+        ev.applyUpdate
       case other => throw new IllegalArgumentException(s"unknown method $other")
+    }
+    for (b <- 0 until batches) {
+      val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(0, b + 1))
+      totTriples += batch.map(_.size.toLong).sum
+      totCorrect += batch.map(_.tau.toLong).sum
+      estimates += applyUpdate(batch).estimate
+      truths    += totCorrect.toDouble / totTriples
     }
     SequenceRun(method, estimates.toSeq, truths.toSeq)
   }

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.core.Estimate
+import repro.core.{Estimate, Estimators}
 
 /** Accuracy estimators as DataFrame aggregations (the "Estimation" component
   * of Fig 2, distributed). Each mirrors a formula in `repro.core.Estimators`
@@ -22,39 +22,26 @@ object SparkEstimators {
     val row = sample.agg(
       sum(col("label").cast("long")).as("correct"),
       count(lit(1)).as("n")).head()
-    repro.core.Estimators.srs(row.getAs[Long]("correct"), row.getAs[Long]("n"), z)
+    Estimators.srs(row.getAs[Long]("correct"), row.getAs[Long]("n"), z)
   }
 
   /** Mean-of-draws estimator (Eqs 8/9) over a (draw_id, label) sample:
     * μ̂ = avg of per-draw means, MoE from their sample variance.
     * Covers WCS (full clusters) and TWCS (second-stage samples).
     */
-  def clusterEstimate(sample: DataFrame, z: Double): Estimate = {
-    val row = drawMeans(sample).agg(
-      avg(col("cmean")).as("mu"),
-      var_samp(col("cmean")).as("s2"),
-      count(lit(1)).as("n")).head()
-    val n  = row.getAs[Long]("n")
-    val mu = row.getAs[Double]("mu")
-    val moe =
-      if (n < 2 || row.isNullAt(row.fieldIndex("s2"))) Double.PositiveInfinity
-      else z * math.sqrt(row.getAs[Double]("s2") / n)
-    Estimate(mu, moe)
-  }
+  def clusterEstimate(sample: DataFrame, z: Double): Estimate =
+    meanOfDraws(drawMeans(sample).select(col("draw_id"), col("cmean")), z)
 
   /** RCS estimator (Eq 7): v_k = (N/M)·τ_{I_k} over fully-annotated draws. */
   def rcsEstimate(sample: DataFrame, numClusters: Long, numTriples: Long, z: Double): Estimate = {
     val scale = numClusters.toDouble / numTriples
-    val row = sample.groupBy(col("draw_id"))
-      .agg(sum(col("label").cast("long")).as("tau"))
-      .select((col("tau") * scale).as("v"))
-      .agg(avg(col("v")).as("mu"), var_samp(col("v")).as("s2"), count(lit(1)).as("n"))
-      .head()
-    val n  = row.getAs[Long]("n")
-    val mu = row.getAs[Double]("mu")
-    val moe =
-      if (n < 2 || row.isNullAt(row.fieldIndex("s2"))) Double.PositiveInfinity
-      else z * math.sqrt(row.getAs[Double]("s2") / n)
-    Estimate(mu, moe)
+    meanOfDraws(sample.groupBy(col("draw_id"))
+      .agg((sum(col("label").cast("long")) * scale).as("v")), z)
   }
+
+  /** Collects the at most n per-draw values of a (draw_id, value) DataFrame
+    * and applies [[Estimators.meanOfDraws]] to them in draw_id order.
+    */
+  private def meanOfDraws(perDraw: DataFrame, z: Double): Estimate =
+    Estimators.meanOfDraws(perDraw.collect().sortBy(_.getLong(0)).map(_.getDouble(1)).toSeq, z)
 }

@@ -1,10 +1,16 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** DataFrame implementations of the paper's sampling designs.
+import repro.core.{KGSummary, LocalSamplers}
+
+import scala.util.Random
+
+/** DataFrame implementations of the paper's sampling designs. Spark runs
+  * only the work that grows with |G| (cluster summary, join, top-n); cluster
+  * draws come from [[LocalSamplers]] on the driver, as in the Monte-Carlo.
   *
   * Input "triples" DataFrames must carry at least `subject` (long) and
   * `label` (0/1 int); extra columns (predicate, object) pass through.
@@ -14,57 +20,42 @@ object SparkSamplers {
 
   /** (subject, size, tau) per entity cluster — groupBy aggregation. */
   def clusterSummary(triples: DataFrame): DataFrame =
-    repro.core.KGSummary.clusterSummaryDF(triples)
+    KGSummary.clusterSummaryDF(triples)
 
-  /** SRS of exactly n triples without replacement: global random ranking via
-    * row_number over rand, keep the first n.
+  /** SRS of exactly n triples without replacement: the n smallest of a
+    * uniform key per triple, which Spark plans as a per-partition top-n.
     */
-  def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame = {
-    val w = Window.orderBy(col("__srs_r"))
+  def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame =
     triples
       .withColumn("__srs_r", rand(seed))
-      .withColumn("__srs_rank", row_number().over(w))
-      .where(col("__srs_rank") <= n)
-      .drop("__srs_r", "__srs_rank")
-  }
+      .orderBy(col("__srs_r"))
+      .limit(math.toIntExact(n))
+      .drop("__srs_r")
 
-  /** n with-replacement cluster draws with P(cluster i) = M_i/M, as
-    * (draw_id, subject). Implemented with the "dart" trick: a uniform triple
-    * (with replacement) lands in cluster i with probability M_i/M, so we
-    * index all triples 0..M-1 and equi-join n random darts on the index.
-    */
-  def wcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame = {
-    val spark = triples.sparkSession
-    val m = triples.count()
-    val indexed = triples
-      .select(col("subject"))
-      .withColumn("__idx", row_number().over(Window.orderBy(col("subject"))).cast("long") - 1)
-    val darts = spark.range(n).select(
-      col("id").as("draw_id"),
-      floor(rand(seed) * m).cast("long").as("__dart"))
-    darts.join(indexed, col("__dart") === col("__idx"))
-      .select(col("draw_id"), col("subject"))
-  }
+  /** n with-replacement cluster draws with P(cluster i) = M_i/M, as (draw_id, subject). */
+  def wcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
+    clusterDraws(triples, n, seed)(LocalSamplers.wcsDraw)
 
   /** n uniform (unweighted) cluster draws with replacement, as (draw_id, subject). */
-  def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame = {
-    val spark = triples.sparkSession
-    val clusters = clusterSummary(triples)
-      .withColumn("__idx", row_number().over(Window.orderBy(col("subject"))).cast("long") - 1)
-    val nClusters = clusters.count()
-    val darts = spark.range(n).select(
-      col("id").as("draw_id"),
-      floor(rand(seed) * nClusters).cast("long").as("__dart"))
-    darts.join(clusters, col("__dart") === col("__idx"))
-      .select(col("draw_id"), col("subject"))
+  def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
+    clusterDraws(triples, n, seed)(LocalSamplers.rcsDraw)
+
+  /** n successive draws from `new Random(seed)` over the collected summary. */
+  private def clusterDraws(triples: DataFrame, n: Int, seed: Long)
+                          (draw: (KGSummary, Random) => LocalSamplers.ClusterDraw): DataFrame = {
+    val kg  = KGSummary.fromTriples(triples)
+    val rng = new Random(seed)
+    val rows = (0 until n).map(k => (k.toLong, draw(kg, rng).cluster.id))
+    triples.sparkSession.createDataFrame(rows).toDF("draw_id", "subject")
   }
 
   /** All triples of the drawn clusters, tagged by draw: the annotation set of
     * RCS/WCS. Duplicate first-stage draws of a cluster yield duplicate rows
     * on purpose — each draw is an independent Hansen–Hurwitz replicate.
+    * The ≤ n draws are broadcast: a hint applies even with auto-broadcast off.
     */
   def expandDraws(draws: DataFrame, triples: DataFrame): DataFrame =
-    draws.join(triples, Seq("subject"))
+    broadcast(draws).join(triples, Seq("subject"))
 
   /** TWCS sample: WCS first stage, then per draw an SRS of at most m triples
     * without replacement inside the cluster (window row_number over rand,
@@ -93,14 +84,11 @@ object SparkSamplers {
   def aResKeys(summary: DataFrame, seed: Long): DataFrame =
     summary.withColumn("key", pow(rand(seed), lit(1.0) / col("size")))
 
-  /** Merge reservoir states: keep the `capacity` largest keys of the union.
-    * Both inputs must have (subject, size, tau, key).
+  /** Merge reservoir states: keep the `capacity` largest keys of the union
+    * (a per-partition top-n). Both inputs must have (subject, size, tau, key).
     */
-  def reservoirMerge(current: DataFrame, incoming: DataFrame, capacity: Int): DataFrame = {
-    val w = Window.orderBy(col("key").desc, col("subject"))
+  def reservoirMerge(current: DataFrame, incoming: DataFrame, capacity: Int): DataFrame =
     current.unionByName(incoming)
-      .withColumn("__rank", row_number().over(w))
-      .where(col("__rank") <= capacity)
-      .drop("__rank")
-  }
+      .orderBy(col("key").desc, col("subject"))
+      .limit(capacity)
 }

@@ -37,6 +37,13 @@ class SparkEstimatorsSpec extends SparkSpec {
     assert(SparkEstimators.clusterEstimate(one, z95).moe.isPosInfinity)
   }
 
+  test("cluster and RCS estimates reject an empty sample") {
+    val empty = sample.limit(0)
+    assertThrows[IllegalArgumentException](SparkEstimators.clusterEstimate(empty, z95))
+    assertThrows[IllegalArgumentException](
+      SparkEstimators.rcsEstimate(empty, numClusters = 4, numTriples = 12, z95))
+  }
+
   test("srsEstimate equals the driver-side Eq 5 estimator") {
     val flat = sample.select("subject", "label")
     val est  = SparkEstimators.srsEstimate(flat, z95)

@@ -1,10 +1,13 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.KGSummary
+import repro.core.{KGSummary, LocalSamplers}
+
+import scala.util.Random
 
 class SparkSamplersSpec extends SparkSpec {
   import spark.implicits._
@@ -94,6 +97,20 @@ class SparkSamplersSpec extends SparkSpec {
     }
   }
 
+  test("first-stage draws are LocalSamplers draws over the collected summary") {
+    val kg = KGSummary.fromTriples(triples)
+    def subjects(draws: DataFrame): Seq[Long] =
+      draws.collect().sortBy(_.getAs[Long]("draw_id")).map(_.getAs[Long]("subject")).toSeq
+    Seq(41L, 42L).foreach { seed =>
+      val wcsRng = new Random(seed)
+      assert(subjects(SparkSamplers.wcsClusterDraws(triples, 30, seed)) ==
+        Seq.fill(30)(LocalSamplers.wcsDraw(kg, wcsRng).cluster.id), s"WCS seed $seed")
+      val rcsRng = new Random(seed)
+      assert(subjects(SparkSamplers.rcsClusterDraws(triples, 30, seed)) ==
+        Seq.fill(30)(LocalSamplers.rcsDraw(kg, rcsRng).cluster.id), s"RCS seed $seed")
+    }
+  }
+
   test("expandDraws keeps duplicate first-stage draws as independent replicates") {
     val draws = Seq((0L, 4L), (1L, 4L)).toDF("draw_id", "subject")
     val x = SparkSamplers.expandDraws(draws, triples)
@@ -169,5 +186,23 @@ class SparkSamplersSpec extends SparkSpec {
     val kept = SparkSamplers.reservoirMerge(a, b, 2).select("subject").collect()
       .map(_.getAs[Long]("subject")).toSet
     assert(kept == Set(3L, 4L))
+  }
+
+  // ---- plans ----
+
+  test("no sampler plans a window without partitionBy (one task would see every row)") {
+    val keyed = SparkSamplers.aResKeys(SparkSamplers.clusterSummary(triples), seed = 11)
+    Seq(
+      "srsTriples"      -> SparkSamplers.srsTriples(triples, 5, seed = 1),
+      "wcsClusterDraws" -> SparkSamplers.wcsClusterDraws(triples, 5, seed = 2),
+      "rcsClusterDraws" -> SparkSamplers.rcsClusterDraws(triples, 5, seed = 3),
+      "twcsSample"      -> SparkSamplers.twcsSample(triples, n = 5, m = 2, seed = 4),
+      "reservoirMerge"  -> SparkSamplers.reservoirMerge(keyed, keyed, capacity = 2)
+    ).foreach { case (name, df) =>
+      val global = df.queryExecution.optimizedPlan.collect {
+        case w: logical.Window if w.partitionSpec.isEmpty => w
+      }
+      assert(global.isEmpty, s"$name plans an unpartitioned window")
+    }
   }
 }
