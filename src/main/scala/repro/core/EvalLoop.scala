@@ -4,7 +4,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** The iterative evaluation framework (Fig 2), written once: draw a batch,
   * charge its annotation to a [[CostTracker]], re-estimate μ̂ and its MoE by
-  * Eq (13), and stop once MoE <= ε or the budget is spent.
+  * Eq (13), and stop once MoE <= ε, the budget is spent, or the closed strata
+  * alone keep the MoE above ε.
   *
   * Every cluster design is a caller. RCS, WCS and TWCS run one open stratum;
   * stratified TWCS runs H; SS runs the newest update's stratum beside its
@@ -29,7 +30,6 @@ object EvalLoop {
     * @param closed     strata that count in the estimate but are never drawn
     * @param open       strata to draw from
     * @param initial    draws per open stratum before the first stop check
-    * @param minDraws   draws this run must make before the MoE rule may stop it
     * @param minTriples annotated triples the tracker must hold before the MoE
     *                   rule may stop the run (the CLT rule of thumb)
     * @param tracker    cost ledger of the run; charges it already holds count
@@ -37,8 +37,7 @@ object EvalLoop {
     * @return the estimate over all strata; `clusterDraws` counts this run's
     *         draws, cost and counts are the tracker's
     */
-  def run(closed: Seq[Stratum], open: Seq[Stratum], initial: Int,
-          minDraws: Int, minTriples: Long,
+  def run(closed: Seq[Stratum], open: Seq[Stratum], initial: Int, minTriples: Long,
           cfg: EvalConfig, tracker: CostTracker): EvalResult = {
     require(open.nonEmpty, "no open stratum")
     val z      = cfg.z
@@ -71,9 +70,15 @@ object EvalLoop {
         Estimators.Stratum(ws(h), Stats.mean(vs), Estimators.varOfMean(vs))
       }, z)
 
+    // The closed strata's share of Eq 13's z²·Σ W_h²·Var̂_h never changes in a
+    // run; above ε², no number of open draws can bring the MoE to ε.
+    val unreachable = z * z * closed.indices.map { h =>
+      ws(h) * ws(h) * Estimators.varOfMean(strata(h).values)
+    }.sum > cfg.eps * cfg.eps
+
     def stop(est: Estimate): Boolean =
-      (draws >= minDraws && tracker.triples >= minTriples && est.moe <= cfg.eps) ||
-      tracker.seconds >= cfg.maxCostSeconds
+      (tracker.triples >= minTriples && est.moe <= cfg.eps) ||
+      tracker.seconds >= cfg.maxCostSeconds || unreachable
 
     openH.foreach(h => (0 until initial).foreach(_ => drawIn(h)))
     var est = estimate()

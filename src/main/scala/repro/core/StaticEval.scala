@@ -2,30 +2,33 @@ package repro.core
 
 import scala.util.Random
 
-/** Configuration of the iterative evaluation framework (Fig 2).
+/** Configuration of the iterative evaluation framework (Fig 2): the user's
+  * task. The batch sizes, sample floors and cost model are the paper's fixed
+  * constants.
   *
   * @param eps             user-required margin of error (default 5%)
   * @param alpha           1 - confidence level (default 5% -> 95% CI)
-  * @param srsBatch        triples per SRS iteration; also the CLT minimum n
-  * @param clusterBatch    first-stage cluster draws per iteration
-  * @param minClusterDraws minimum first-stage draws before the MoE stop rule
-  * @param minTriples      minimum annotated triples before the MoE stop rule
-  *                        for cluster designs (the CLT n>30 rule of thumb —
-  *                        reproduces the paper's ~30-triple YAGO samples and
-  *                        its ~24-draw TWCS(m=10) run on MOVIE)
   * @param maxCostSeconds  annotation budget; exceeded => stop unconverged
   *                        (the paper caps RCS/WCS on MOVIE at 5 hours)
   */
 final case class EvalConfig(eps: Double = 0.05,
                             alpha: Double = 0.05,
-                            srsBatch: Int = 30,
-                            clusterBatch: Int = 5,
-                            minClusterDraws: Int = 5,
-                            minTriples: Long = 30,
-                            maxCostSeconds: Double = Double.PositiveInfinity,
-                            cost: CostModel = CostModel.default) {
+                            maxCostSeconds: Double = Double.PositiveInfinity) {
   require(eps > 0 && eps < 1 && alpha > 0 && alpha < 1)
   def z: Double = Stats.zAlpha(alpha)
+  /** Triples per SRS iteration; also the CLT minimum n. */
+  val srsBatch: Int = 30
+  /** First-stage cluster draws per iteration. */
+  val clusterBatch: Int = 5
+  /** Fewest first-stage draws of a static cluster-design run: its first batch. */
+  val minClusterDraws: Int = clusterBatch
+  /** Minimum annotated triples before the MoE stop rule for cluster designs
+    * (the CLT n>30 rule of thumb — reproduces the paper's ~30-triple YAGO
+    * samples and its ~24-draw TWCS(m=10) run on MOVIE).
+    */
+  val minTriples: Long = 30
+  /** Eq (4) with the constants fitted in §7.1.3. */
+  val cost: CostModel = CostModel.default
 }
 
 /** Outcome of one evaluation run. Costs follow Eq (4) on distinct sets. */
@@ -73,12 +76,11 @@ object StaticEval {
   }
 
   /** Static evaluation of one cluster design: its single stratum runs the
-    * Fig 2 loop from `clusterBatch` draws, under the config's minimum-sample
-    * rules and budget. The stratum keeps its values.
+    * Fig 2 loop from `clusterBatch` draws, under the triple floor and budget.
+    * The stratum keeps its values.
     */
   def run(s: EvalLoop.Stratum, cfg: EvalConfig): EvalResult =
-    EvalLoop.run(Nil, Seq(s), cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
-      cfg, new CostTracker(cfg.cost))
+    EvalLoop.run(Nil, Seq(s), cfg.clusterBatch, cfg.minTriples, cfg, new CostTracker(cfg.cost))
 
   /** RCS (§5.2.1): uniform cluster draws, v_k = (N/M)·τ_{I_k}. */
   def rcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
@@ -113,12 +115,12 @@ object StaticEval {
     * variance estimate — stopping off 2 agreeing draws would bias the
     * estimator.
     */
-  def twcsStratified(strata: Seq[Stratification.StratumPop], m: Int,
+  def twcsStratified(strata: Seq[KGSummary], m: Int,
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
     val perStratum = math.max(3, math.ceil(20.0 / strata.size).toInt)
-    EvalLoop.run(Nil, strata.map(s => twcsStratum(s.kg, m, rng)), perStratum,
-      cfg.minClusterDraws, cfg.minTriples, cfg, new CostTracker(cfg.cost))
+    EvalLoop.run(Nil, strata.map(twcsStratum(_, m, rng)), perStratum, cfg.minTriples, cfg,
+      new CostTracker(cfg.cost))
   }
 
   // ------------------------------------------------------------------

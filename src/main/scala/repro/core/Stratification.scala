@@ -10,11 +10,6 @@ package repro.core
   */
 object Stratification {
 
-  /** One stratum: its clusters as a sub-population plus its triple weight W_h. */
-  final case class StratumPop(clusters: Array[Cluster]) {
-    val kg: KGSummary = KGSummary(clusters)
-  }
-
   /** Cumulative √F boundaries over a histogram of a discrete signal.
     *
     * @param values sorted distinct signal values with their frequencies
@@ -45,8 +40,10 @@ object Stratification {
     bounds.result().distinct
   }
 
-  /** Partition clusters by a per-cluster signal against boundaries. */
-  def partition(kg: KGSummary, signal: Cluster => Double, bounds: Seq[Double]): Seq[StratumPop] = {
+  /** Partition clusters by a per-cluster signal against boundaries; each
+    * stratum is the sub-population of its clusters.
+    */
+  def partition(kg: KGSummary, signal: Cluster => Double, bounds: Seq[Double]): Seq[KGSummary] = {
     val sortedBounds = bounds.sorted
     val groups = kg.clusters.groupBy { c =>
       val v = signal(c)
@@ -55,25 +52,25 @@ object Stratification {
         case i  => i
       }
     }
-    groups.toSeq.sortBy(_._1).map { case (_, cs) => StratumPop(cs) }
+    groups.toSeq.sortBy(_._1).map { case (_, cs) => KGSummary(cs) }
   }
 
   /** Size Stratification: cum √F on the cluster-size histogram. */
-  def sizeStrata(kg: KGSummary, h: Int): Seq[StratumPop] = {
+  def sizeStrata(kg: KGSummary, h: Int): Seq[KGSummary] = {
     val hist = kg.clusters.groupBy(_.size).map { case (s, cs) => (s.toDouble, cs.length.toLong) }.toSeq
     partition(kg, _.size.toDouble, cumRootFBoundaries(hist, h))
   }
 
   /** Oracle Stratification: cum √F on the (discretized) true cluster accuracy. */
-  def oracleStrata(kg: KGSummary, h: Int): Seq[StratumPop] = {
+  def oracleStrata(kg: KGSummary, h: Int): Seq[KGSummary] = {
     def disc(c: Cluster): Double = math.round(c.accuracy * 20) / 20.0
     val hist = kg.clusters.groupBy(disc).map { case (a, cs) => (a, cs.length.toLong) }.toSeq
     partition(kg, disc, cumRootFBoundaries(hist, h))
   }
 
   /** Triple weight W_h of each stratum (sums to 1). */
-  def weights(strata: Seq[StratumPop]): Seq[Double] = {
-    val m = strata.map(_.kg.numTriples).sum.toDouble
-    strata.map(_.kg.numTriples / m)
+  def weights(strata: Seq[KGSummary]): Seq[Double] = {
+    val m = strata.map(_.numTriples).sum.toDouble
+    strata.map(_.numTriples / m)
   }
 }

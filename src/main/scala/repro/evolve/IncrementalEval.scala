@@ -99,7 +99,7 @@ object IncrementalEval {
       // within the annotation budget.
       val topUp = StaticEval.twcsStratum(pool, m, rng)
       topUp.values ++= reservoir.entries.map(_.payload)
-      snapshot(EvalLoop.run(Nil, Seq(topUp), 0, 0, 0L, cfg, tracker))
+      snapshot(EvalLoop.run(Nil, Seq(topUp), 0, 0L, cfg, tracker))
     }
   }
 
@@ -128,12 +128,12 @@ object IncrementalEval {
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       val s = StaticEval.twcsStratum(KGSummary(batch), m, rng)
-      // A handful of draws so the new stratum has a usable sample variance
+      // A first batch so the new stratum has a usable sample variance
       // (2 agreeing draws would stop on a spurious zero), then batches until
       // the *combined* MoE satisfies ε. No triple floor: Algorithm 2's stop
       // rule is on the combined MoE, and the base stratum already carries a
       // CLT-sized sample.
-      val r = EvalLoop.run(strata.toSeq, Seq(s), cfg.clusterBatch, 5, 0L, cfg,
+      val r = EvalLoop.run(strata.toSeq, Seq(s), cfg.clusterBatch, 0L, cfg,
         new CostTracker(cfg.cost))
       strata += s
       snapshot(r)

@@ -18,11 +18,10 @@ import scala.util.Random
   * enters — that is the annotation cost RS pays.
   */
 final class WeightedReservoir[A](capacity: Int) {
+  import WeightedReservoir.Entry
   require(capacity >= 1)
 
-  final case class Entry(cluster: Cluster, key: Double, payload: A)
-
-  private val heap = mutable.PriorityQueue.empty[Entry](Ordering.by(e => -e.key)) // min-heap
+  private val heap = mutable.PriorityQueue.empty[Entry[A]](Ordering.by(e => -e.key)) // min-heap
   private var inserted = 0L
 
   /** A-Res key for a cluster. */
@@ -43,5 +42,10 @@ final class WeightedReservoir[A](capacity: Int) {
   def size: Int = heap.size
   /** Total insertions ever made (Prop 3 bounds this by O(|R|·log(N_j/N_i))). */
   def totalInsertions: Long = inserted
-  def entries: Seq[Entry] = heap.toSeq
+  def entries: Seq[Entry[A]] = heap.toSeq
+}
+
+object WeightedReservoir {
+  /** One reservoir entry: the cluster, its A-Res key and its payload. */
+  final case class Entry[A](cluster: Cluster, key: Double, payload: A)
 }

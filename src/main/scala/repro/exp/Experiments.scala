@@ -225,7 +225,7 @@ object Experiments {
       bs += baseline.applyUpdate(batch).costHours
 
       val init = StaticEval.twcs(base, m, cfg, rng) // sizes the reservoir
-      val res = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws), m, cfg, rng)
+      val res = new ReservoirEvaluator(init.clusterDraws, m, cfg, rng)
       res.initialize(base)
       rs += res.applyUpdate(batch).costHours
 
@@ -280,8 +280,7 @@ object Experiments {
         ev.applyUpdate
       case "RS" =>
         val init = StaticEval.twcs(base, m, cfg, rng)
-        val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
-          m, cfg, rng, initBias = bias)
+        val ev = new ReservoirEvaluator(init.clusterDraws, m, cfg, rng, initBias = bias)
         ev.initialize(base)
         ev.applyUpdate
       case other => throw new IllegalArgumentException(s"unknown method $other")

@@ -60,7 +60,7 @@ class StratificationSpec extends AnyFunSuite {
     val ws = weights(strata)
     assert(math.abs(ws.sum - 1.0) < 1e-12)
     strata.zip(ws).foreach { case (s, w) =>
-      assert(math.abs(w - s.kg.numTriples.toDouble / kg.numTriples) < 1e-12)
+      assert(math.abs(w - s.numTriples.toDouble / kg.numTriples) < 1e-12)
     }
   }
 

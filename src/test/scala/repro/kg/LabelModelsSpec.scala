@@ -81,7 +81,6 @@ class LabelModelsSpec extends SparkSpec {
   }
 
   test("NoisyCluster pColumn stays clamped in Spark too") {
-    import spark.implicits._
     val got = spark.range(2000).toDF("size")
       .select(NoisyCluster(0.95, 0.5).pColumn(col("size"), 10).as("p"))
       .collect().map(_.getDouble(0))
