@@ -2,14 +2,16 @@ package repro.core
 
 import scala.util.Random
 
-/** Driver-side exact samplers over a [[KGSummary]].
+/** Driver-side exact samplers: every draw of every design happens here.
   *
   * Used by the Monte-Carlo harness (the paper repeats every design 1000×; a
-  * Spark job per trial would be pure overhead) and for the first-stage draws of
-  * the DataFrame samplers in `repro.spark`. Statistically identical to the
-  * DataFrame path's second stage: a design only interacts with the KG
-  * through cluster sizes and draw outcomes, and drawing j triples without
-  * replacement from a cluster with τ correct among M is exactly a
+  * Spark job per trial would be pure overhead) and by the DataFrame samplers
+  * in `repro.spark`, which take their first-stage cluster draws from
+  * [[rcsDraw]] / [[wcsDraw]] and their second-stage rows from [[choose]].
+  * The summary-level [[secondStage]] is statistically identical to the
+  * DataFrame second stage: a design only interacts with the KG through
+  * cluster sizes and draw outcomes, and the correct rows among j rows that
+  * [[choose]] keeps of a cluster with τ correct among M are exactly a
   * Hypergeometric(M, τ, j) draw.
   */
 object LocalSamplers {
@@ -76,6 +78,21 @@ object LocalSamplers {
   def twcsDraw(kg: SizeWeighted, m: Int, rng: Random): ClusterDraw = {
     require(m >= 1)
     secondStage(kg.drawBySize(rng), m, rng)
+  }
+
+  /** k distinct indices of `0 until n`, uniformly without replacement: the
+    * first k slots of a partial Fisher–Yates shuffle, k calls to `rng`.
+    */
+  def choose(n: Int, k: Int, rng: Random): IndexedSeq[Int] = {
+    require(0 <= k && k <= n, s"cannot choose $k of $n")
+    val idx = Array.range(0, n)
+    var i = 0
+    while (i < k) {
+      val j = i + rng.nextInt(n - i)
+      val t = idx(i); idx(i) = idx(j); idx(j) = t
+      i += 1
+    }
+    idx.take(k).toIndexedSeq
   }
 
   /** Second-stage SRS of min(M_i, m) triples within a given cluster. */

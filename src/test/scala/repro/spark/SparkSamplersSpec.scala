@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.plans.logical
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{KGSummary, LocalSamplers}
+import repro.core.{KGSummary, LocalSamplers, Stats}
 
 import scala.util.Random
 
@@ -37,6 +37,22 @@ class SparkSamplersSpec extends SparkSpec {
     assert(kg.numTriples == 12)
     assert(math.abs(kg.accuracy - 8.0 / 12) < 1e-12)
     assert(kg.clusters.find(_.id == 4L).get.tau == 4)
+  }
+
+  test("fromTriples summarises each DataFrame once") {
+    val kg = KGSummary.fromTriples(triples)
+    assert(KGSummary.fromTriples(triples) eq kg)
+    val other = triples.repartition(3)
+    assert(!(KGSummary.fromTriples(other) eq kg))
+    assert(KGSummary.fromTriples(other).clusters.sortBy(_.id).toSeq == kg.clusters.sortBy(_.id).toSeq)
+  }
+
+  test("fromTriples keeps no summary alive that nothing else references") {
+    // a strong value would outlive a released KG until its key is expunged
+    val ref = new java.lang.ref.WeakReference(KGSummary.fromTriples(triples.repartition(2)))
+    var tries = 0
+    while (ref.get() != null && tries < 10) { System.gc(); Thread.sleep(20); tries += 1 }
+    assert(ref.get() == null)
   }
 
   // ---- SRS ----
@@ -118,6 +134,24 @@ class SparkSamplersSpec extends SparkSpec {
     assert(x.groupBy("draw_id").count().collect().forall(_.getAs[Long]("count") == 6))
   }
 
+  test("expandDraws equals the join of draws and triples, duplicates included (oracle)") {
+    val draws = Seq((0L, 4L), (1L, 2L), (2L, 4L), (3L, 1L), (4L, 2L)).toDF("draw_id", "subject")
+    Oracle.assertEquivalent(
+      SparkSamplers.expandDraws(draws, triples),
+      "SELECT d.draw_id, t.* FROM d JOIN t USING (subject)",
+      "d" -> draws, "t" -> triples)
+  }
+
+  test("zero draws give zero rows with the named columns, which no estimate accepts") {
+    val none = Seq.empty[(Long, Long)].toDF("draw_id", "subject")
+    Seq(SparkSamplers.expandDraws(none, triples),
+        SparkSamplers.secondStage(none, triples, m = 2, seed = 1)).foreach { x =>
+      assert(x.columns.toSeq == Seq("subject", "draw_id", "predicate", "object", "label"))
+      assert(x.count() == 0)
+      assertThrows[IllegalArgumentException](SparkEstimators.clusterEstimate(x, Stats.zAlpha(0.05)))
+    }
+  }
+
   // ---- TWCS second stage ----
 
   test("twcsSample annotates at most m triples per draw, all from one cluster") {
@@ -139,6 +173,25 @@ class SparkSamplersSpec extends SparkSpec {
   test("secondStage with m above the cluster size returns the full cluster") {
     val draws = Seq((0L, 2L)).toDF("draw_id", "subject")
     assert(SparkSamplers.secondStage(draws, triples, m = 99, seed = 9).count() == 2)
+  }
+
+  test("secondStage does not depend on how the triples are partitioned") {
+    val draws = Seq((0L, 4L), (1L, 3L), (2L, 4L)).toDF("draw_id", "subject")
+    val spread = triples.repartition(3)
+    def rows(t: DataFrame, seed: Long): Seq[String] =
+      SparkSamplers.secondStage(draws, t, m = 2, seed).collect().map(_.mkString("|")).sorted.toSeq
+    (50L to 59L).foreach(seed => assert(rows(triples, seed) == rows(spread, seed), s"seed $seed"))
+  }
+
+  test("secondStage keeps each row of a cluster at rate m/M_i") {
+    // 1200 independent draws of cluster 4 (M = 6) in one call, m = 2
+    val n = 1200
+    val draws = (0 until n).map(k => (k.toLong, 4L)).toDF("draw_id", "subject")
+    val s = SparkSamplers.secondStage(draws, triples, m = 2, seed = 60).collect()
+    assert(s.groupBy(_.getAs[Long]("draw_id")).values.forall(rs => rs.length == 2 && rs.distinct.length == 2))
+    val kept = s.groupBy(r => (r.getAs[String]("predicate"), r.getAs[String]("object"))).view.mapValues(_.length).toMap
+    assert(kept.size == 6)
+    kept.foreach { case (row, c) => assert(math.abs(c.toDouble / n - 2.0 / 6) < 0.05, s"$row kept $c/$n") }
   }
 
   // ---- reservoir ----
